@@ -46,17 +46,21 @@ func TestFiguresListComplete(t *testing.T) {
 	for _, f := range figures() {
 		ids[f.id] = true
 	}
-	for _, want := range []string{"1", "7", "9", "10", "11", "12", "13", "14", "15", "ablations", "burst", "load", "kernels", "chaos"} {
+	for _, want := range []string{"1", "7", "9", "10", "11", "12", "13", "14", "15", "ablations", "burst", "load", "kernels", "chaos", "load-sweep", "adapt", "batch", "mesh"} {
 		if !ids[want] {
 			t.Errorf("figure %s missing from registry", want)
 		}
 	}
+	if len(ids) != len(figures()) {
+		t.Error("figure ids must be unique")
+	}
 }
 
 func TestRunKernelsWritesJSONBaseline(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_kernels.json")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "BENCH_kernels.json")
 	var buf bytes.Buffer
-	if err := run([]string{"-figs", "kernels", "-quick", "-kernels-json", path, "-parallelism", "2"}, &buf); err != nil {
+	if err := run([]string{"-figs", "kernels", "-quick", "-json-dir", dir, "-parallelism", "2"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "Kernel forwards") {
@@ -91,9 +95,10 @@ func TestRunWritesProfiles(t *testing.T) {
 }
 
 func TestRunChaosWritesJSONBaseline(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_chaos.json")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "BENCH_chaos.json")
 	var buf bytes.Buffer
-	if err := run([]string{"-figs", "chaos", "-quick", "-faults", "0.05", "-chaos-json", path}, &buf); err != nil {
+	if err := run([]string{"-figs", "chaos", "-quick", "-faults", "0.05", "-json-dir", dir}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "Chaos sweep") {
@@ -122,10 +127,13 @@ func TestParseRates(t *testing.T) {
 	}
 }
 
+// TestRunLoadWritesJSONBaseline drives the load-sweep figure, whose JSON
+// form keeps its BENCH_load.json name.
 func TestRunLoadWritesJSONBaseline(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_load.json")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "BENCH_load.json")
 	var buf bytes.Buffer
-	if err := run([]string{"-quick", "-load", "-load-json", path}, &buf); err != nil {
+	if err := run([]string{"-quick", "-figs", "load-sweep", "-json-dir", dir}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -133,7 +141,7 @@ func TestRunLoadWritesJSONBaseline(t *testing.T) {
 		t.Fatalf("stdout missing load sweep table:\n%s", out)
 	}
 	if strings.Contains(out, "Fig") {
-		t.Fatal("-load must skip the figure sweep")
+		t.Fatal("-figs load-sweep must run only the sweep")
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -144,13 +152,14 @@ func TestRunLoadWritesJSONBaseline(t *testing.T) {
 	}
 }
 
-// TestRunAdaptWritesJSONBaseline drives the adaptive-scenario flags: the
-// table and headline print, the figure sweep is skipped, and the JSON
-// baseline carries the headline comparison.
+// TestRunAdaptWritesJSONBaseline drives the adapt figure: the table and
+// headline print, no other figure runs, and the JSON baseline carries the
+// headline comparison.
 func TestRunAdaptWritesJSONBaseline(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_adapt.json")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "BENCH_adapt.json")
 	var buf bytes.Buffer
-	if err := run([]string{"-quick", "-adapt", "-adapt-json", path}, &buf); err != nil {
+	if err := run([]string{"-quick", "-figs", "adapt", "-json-dir", dir}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -158,7 +167,7 @@ func TestRunAdaptWritesJSONBaseline(t *testing.T) {
 		t.Fatalf("stdout missing adaptive scenario table:\n%s", out)
 	}
 	if strings.Contains(out, "Fig") {
-		t.Fatal("-adapt must skip the figure sweep")
+		t.Fatal("-figs adapt must run only the scenario")
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -175,9 +184,9 @@ func TestRunAdaptWritesJSONBaseline(t *testing.T) {
 // sweep, once on the noise-retry sweep).
 func TestRunKernelsBaselineCheck(t *testing.T) {
 	dir := t.TempDir()
-	pin := filepath.Join(dir, "pin.json")
+	pin := filepath.Join(dir, "BENCH_kernels.json")
 	var buf bytes.Buffer
-	if err := run([]string{"-figs", "kernels", "-quick", "-kernels-json", pin}, &buf); err != nil {
+	if err := run([]string{"-figs", "kernels", "-quick", "-json-dir", dir}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	rewrite := func(path string, ns int64) string {
@@ -226,6 +235,23 @@ func TestRunKernelsCheckRequiresBaseline(t *testing.T) {
 	err := run([]string{"-figs", "kernels", "-quick", "-kernels-check"}, &buf)
 	if err == nil || !strings.Contains(err.Error(), "-kernels-baseline") {
 		t.Fatalf("want missing-baseline error, got %v", err)
+	}
+}
+
+// TestRunJSONDirSkipsTableOnlyFigures: -json-dir writes a file for each
+// selected figure with a JSON form and nothing for the others.
+func TestRunJSONDirSkipsTableOnlyFigures(t *testing.T) {
+	dir := t.TempDir()
+	var buf bytes.Buffer
+	if err := run([]string{"-figs", "14,chaos", "-quick", "-queries", "5", "-faults", "0.05", "-json-dir", dir}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "BENCH_chaos.json" {
+		t.Fatalf("want only BENCH_chaos.json, got %v", entries)
 	}
 }
 

@@ -7,10 +7,9 @@ package gateway
 // when the oldest member's delay or SLO budget runs out, or when the
 // arrival trace drains. One member — the arrival that filled the batch, or
 // the oldest member on a tick close — leads: it acquires a single admission
-// slot through the same in-flight/queue/shed machinery a lone query would,
+// slot through the same acquire/release routines a lone query takes,
 // serves the whole batch through the backend's ServeBatch, and settles a
-// typed per-query Outcome for every member. The unbatched path is untouched
-// when batching is off, so unbatched replays stay byte-identical.
+// typed per-query Outcome for every member through the same finish routine.
 
 import (
 	"fmt"
@@ -129,73 +128,20 @@ func (g *gateway) leadBatch(proc *simnet.Proc, members []batching.Member, leader
 	g.mBatches.Inc()
 	g.hBatchSize.Observe(float64(n))
 
-	// Admission: one slot for the whole batch, through the same switch a
+	// Admission: one slot for the whole batch, through the same routine a
 	// lone query takes.
-	g.mu.Lock()
-	switch {
-	case g.inFlight < g.cfg.MaxInFlight:
-		g.inFlight++
-		g.hQueueDepth.Observe(float64(len(g.queue)))
-		g.mu.Unlock()
-	case g.brownout:
-		g.brownoutSheds += n
-		g.hQueueDepth.Observe(float64(len(g.queue)))
-		g.mu.Unlock()
-		g.shedBatch(proc, members, leaderID, ErrBrownout.Error(), g.mBrownoutShed)
-		return
-	case len(g.queue) < g.cfg.QueueCap:
-		pr := simnet.NewPromise[struct{}](proc.Env())
-		g.queue = append(g.queue, pr)
-		if len(g.queue) > g.maxQueue {
-			g.maxQueue = len(g.queue)
+	if err := g.acquire(proc, n); err != nil {
+		for _, m := range members {
+			g.refuse(Outcome{ID: m.ID, ArrivalMs: durMs(m.Arrival), BatchSize: n}, err)
 		}
-		g.hQueueDepth.Observe(float64(len(g.queue)))
-		g.mu.Unlock()
-		if _, err := pr.Wait(proc); err != nil {
-			for _, m := range members {
-				g.settle(m.ID, Outcome{ID: m.ID, ArrivalMs: durMs(m.Arrival), BatchSize: n, Err: err.Error()})
-			}
-			g.releaseWaiters(members, leaderID)
-			return
-		}
-	default:
-		g.hQueueDepth.Observe(float64(len(g.queue)))
-		g.mu.Unlock()
-		g.shedBatch(proc, members, leaderID, ErrShed.Error(), nil)
+		g.releaseWaiters(members, leaderID)
 		return
 	}
-
 	g.mAdmitted.Add(int64(n))
 	outs := g.serveBatch(proc, members)
-	// Release the slot exactly as a lone query would.
-	g.mu.Lock()
-	if len(g.queue) > 0 {
-		head := g.queue[0]
-		g.queue = g.queue[1:]
-		g.mu.Unlock()
-		head.Resolve(struct{}{})
-	} else {
-		g.inFlight--
-		g.mu.Unlock()
-	}
+	g.release()
 	for k, m := range members {
 		g.settle(m.ID, outs[k])
-	}
-	g.releaseWaiters(members, leaderID)
-}
-
-// shedBatch rejects every member of a batch that found no slot and no queue
-// room. extra, when non-nil, is bumped per member on top of the shed
-// counter (the brownout-shed counter).
-func (g *gateway) shedBatch(proc *simnet.Proc, members []batching.Member, leaderID int, errMsg string, extra *trace.Counter) {
-	n := len(members)
-	for _, m := range members {
-		g.mShed.Inc()
-		g.mSLOViolated.Inc()
-		if extra != nil {
-			extra.Inc()
-		}
-		g.settle(m.ID, Outcome{ID: m.ID, ArrivalMs: durMs(m.Arrival), BatchSize: n, Shed: true, Err: errMsg})
 	}
 	g.releaseWaiters(members, leaderID)
 }
@@ -265,37 +211,10 @@ func (g *gateway) serveBatch(proc *simnet.Proc, members []batching.Member) []Out
 		if int64(k) < rem {
 			o.BilledMs++
 		}
-		g.hQueueWaitMs.Observe(o.QueueMs)
-		g.hTotalMs.Observe(o.TotalMs)
-		if err != nil {
-			o.Err = err.Error()
-			if kind, ok := platform.FaultKindOf(err); ok {
-				o.FaultKind = kind.String()
-			} else {
-				o.FaultKind = "other"
-			}
-			g.mFaulted.Inc()
-			g.mSLOViolated.Inc()
-			g.reg.Counter("gateway.faults." + o.FaultKind).Inc()
-		} else {
-			o.LatencyMs = res.LatencyMs
-			if k == 0 {
-				o.ColdStart = res.ColdStart
-				if res.ColdStart {
-					g.mColdStarts.Inc()
-				}
-			}
-			if res.Outputs != nil {
-				o.Output = res.Outputs[k]
-			}
-			o.SLOOK = g.cfg.SLOMs <= 0 || o.TotalMs <= g.cfg.SLOMs
-			g.mServed.Inc()
-			if o.SLOOK {
-				g.mSLOOK.Inc()
-			} else {
-				g.mSLOViolated.Inc()
-			}
+		if res.Outputs != nil {
+			o.Output = res.Outputs[k]
 		}
+		g.finish(&o, err, res.LatencyMs, k == 0 && res.ColdStart)
 		outs[k] = o
 	}
 	return outs

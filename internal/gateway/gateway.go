@@ -66,7 +66,8 @@ type Config struct {
 	// form batches that close on size, delay, SLO deadline, or trace drain,
 	// and each batch serves through the backend's ServeBatch on a single
 	// admission slot. Batch.TickMs and Batch.SLOMs default to the gateway's
-	// TickMs and SLOMs. MaxBatch <= 1 leaves the per-query path untouched.
+	// TickMs and SLOMs. MaxBatch <= 1 serves every arrival alone through
+	// the backend's Serve.
 	Batch batching.Config
 	// Model tags the i-th arrival with the catalog model it requests, and
 	// Router resolves that tag to a serving backend at serve time — the
@@ -279,25 +280,37 @@ func (g *gateway) query(proc *simnet.Proc, i int) {
 		model = g.cfg.Model(i)
 	}
 	g.mQueries.Inc()
+	if err := g.acquire(proc, 1); err != nil {
+		g.refuse(Outcome{ID: i, Model: model, ArrivalMs: arrivalMs}, err)
+		return
+	}
+	g.mAdmitted.Inc()
+	o := g.serve(proc, i, arrivalMs, model)
+	g.release()
+	g.settle(i, o)
+}
 
+// acquire takes one admission slot for a serve of n queries (a lone query,
+// or a whole batch): start now if a slot is free, else wait in the FIFO
+// queue, else refuse. It returns nil once the slot is held, ErrBrownout or
+// ErrShed when every one of the n queries is shed, or the error that ended
+// the queue wait.
+func (g *gateway) acquire(proc *simnet.Proc, n int) error {
 	g.mu.Lock()
 	switch {
 	case g.inFlight < g.cfg.MaxInFlight:
 		g.inFlight++
 		g.hQueueDepth.Observe(float64(len(g.queue)))
 		g.mu.Unlock()
+		return nil
 	case g.brownout:
 		// Brownout: the queue is closed. An arrival that cannot start
 		// immediately is shed with the typed brownout error; entries already
 		// queued keep their place.
-		g.brownoutSheds++
+		g.brownoutSheds += n
 		g.hQueueDepth.Observe(float64(len(g.queue)))
 		g.mu.Unlock()
-		g.mShed.Inc()
-		g.mBrownoutShed.Inc()
-		g.mSLOViolated.Inc()
-		g.settle(i, Outcome{ID: i, Model: model, ArrivalMs: arrivalMs, Shed: true, Err: ErrBrownout.Error()})
-		return
+		return ErrBrownout
 	case len(g.queue) < g.cfg.QueueCap:
 		pr := simnet.NewPromise[struct{}](proc.Env())
 		g.queue = append(g.queue, pr)
@@ -306,37 +319,51 @@ func (g *gateway) query(proc *simnet.Proc, i int) {
 		}
 		g.hQueueDepth.Observe(float64(len(g.queue)))
 		g.mu.Unlock()
-		// A finishing query hands its slot to the queue head directly, so
+		// A finishing serve hands its slot to the queue head directly, so
 		// resolution implies the in-flight accounting already covers us.
-		if _, err := pr.Wait(proc); err != nil {
-			g.settle(i, Outcome{ID: i, Model: model, ArrivalMs: arrivalMs, Err: err.Error()})
-			return
-		}
+		_, err := pr.Wait(proc)
+		return err
 	default:
 		g.hQueueDepth.Observe(float64(len(g.queue)))
 		g.mu.Unlock()
-		g.mShed.Inc()
-		g.mSLOViolated.Inc()
-		g.settle(i, Outcome{ID: i, Model: model, ArrivalMs: arrivalMs, Shed: true, Err: ErrShed.Error()})
-		return
+		return ErrShed
 	}
+}
 
-	g.mAdmitted.Inc()
-	o := g.serve(proc, i, arrivalMs, model)
-
-	// Release the slot: hand it to the queue head if anyone is waiting.
+// release frees an admission slot: it passes straight to the queue head if
+// anyone is waiting.
+func (g *gateway) release() {
 	g.mu.Lock()
 	if len(g.queue) > 0 {
 		head := g.queue[0]
 		g.queue = g.queue[1:]
 		g.mu.Unlock()
 		head.Resolve(struct{}{})
-	} else {
-		g.inFlight--
-		g.mu.Unlock()
+		return
 	}
-	g.settle(i, o)
+	g.inFlight--
+	g.mu.Unlock()
 }
+
+// refuse settles a query that acquire turned away with err: shed (counted
+// as an SLO miss) or, if its queue wait failed, failed.
+func (g *gateway) refuse(o Outcome, err error) {
+	o.Err = err.Error()
+	if errors.Is(err, ErrShed) || errors.Is(err, ErrBrownout) {
+		o.Shed = true
+		g.mShed.Inc()
+		if errors.Is(err, ErrBrownout) {
+			g.mBrownoutShed.Inc()
+		}
+		g.mSLOViolated.Inc()
+	}
+	g.settle(o.ID, o)
+}
+
+// placementError marks a Router's failure to place a query's model.
+type placementError struct{ error }
+
+func (e placementError) Unwrap() error { return e.error }
 
 // serve runs the admitted query to completion and builds its Outcome. On
 // the multi-model path the Router resolves the backend first — a cache
@@ -344,74 +371,67 @@ func (g *gateway) query(proc *simnet.Proc, i int) {
 // TotalMs (and counts against the SLO) but not in LatencyMs.
 func (g *gateway) serve(proc *simnet.Proc, i int, arrivalMs float64, model string) Outcome {
 	startMs := durMs(proc.Now())
-	backend := g.b
-	release := func() {}
-	if g.cfg.Router != nil {
-		rb, rel, err := g.cfg.Router.Acquire(proc, model)
-		if err != nil {
-			o := Outcome{
-				ID:        i,
-				Model:     model,
-				ArrivalMs: arrivalMs,
-				QueueMs:   startMs - arrivalMs,
-				TotalMs:   durMs(proc.Now()) - arrivalMs,
-				Err:       err.Error(),
-				FaultKind: "placement",
-			}
-			g.hQueueWaitMs.Observe(o.QueueMs)
-			g.hTotalMs.Observe(o.TotalMs)
-			g.mFaulted.Inc()
-			g.mSLOViolated.Inc()
-			g.reg.Counter("gateway.faults." + o.FaultKind).Inc()
-			return o
-		}
-		backend = rb
-		release = rel
-	}
-	var in *tensor.Tensor
-	if g.cfg.Input != nil {
-		in = g.cfg.Input(i)
-	}
+	backend, release := g.b, func() {}
 	var res runtime.Result
 	var tr *trace.Trace
 	var err error
-	if g.cfg.Traced {
-		res, tr, err = backend.ServeTraced(proc, in)
-	} else {
-		res, err = backend.Serve(proc, in)
+	if g.cfg.Router != nil {
+		backend, release, err = g.cfg.Router.Acquire(proc, model)
 	}
-	release()
+	if err != nil {
+		err = placementError{err}
+	} else {
+		var in *tensor.Tensor
+		if g.cfg.Input != nil {
+			in = g.cfg.Input(i)
+		}
+		if g.cfg.Traced {
+			res, tr, err = backend.ServeTraced(proc, in)
+		} else {
+			res, err = backend.Serve(proc, in)
+		}
+		release()
+		if err != nil {
+			res.BilledMs = platform.BilledMsOf(err)
+		}
+	}
 	o := Outcome{
 		ID:        i,
 		Model:     model,
 		ArrivalMs: arrivalMs,
 		QueueMs:   startMs - arrivalMs,
 		TotalMs:   durMs(proc.Now()) - arrivalMs,
+		BilledMs:  res.BilledMs,
+		Output:    res.Output,
 		Trace:     tr,
 	}
+	if err == nil {
+		o.BatchSize = 1
+	}
+	g.finish(&o, err, res.LatencyMs, res.ColdStart)
+	return o
+}
+
+// finish completes an admitted query's Outcome — o arrives with its
+// timing, billing and output set — from the serve's error or its latency
+// and cold start, judges the SLO, and records the query's gateway metrics.
+// The lone and the batched serve paths both settle through it.
+func (g *gateway) finish(o *Outcome, err error, latencyMs float64, coldStart bool) {
 	g.hQueueWaitMs.Observe(o.QueueMs)
 	g.hTotalMs.Observe(o.TotalMs)
 	if err != nil {
 		o.Err = err.Error()
-		o.BilledMs = platform.BilledMsOf(err)
-		if k, ok := platform.FaultKindOf(err); ok {
-			o.FaultKind = k.String()
-		} else {
-			o.FaultKind = "other"
-		}
+		o.FaultKind = faultKind(err)
 		g.mFaulted.Inc()
 		g.mSLOViolated.Inc()
 		g.reg.Counter("gateway.faults." + o.FaultKind).Inc()
-		return o
+		return
 	}
-	o.LatencyMs = res.LatencyMs
-	o.BilledMs = res.BilledMs
-	o.ColdStart = res.ColdStart
-	o.Output = res.Output
-	o.BatchSize = 1
+	o.LatencyMs = latencyMs
+	o.ColdStart = coldStart
 	o.SLOOK = g.cfg.SLOMs <= 0 || o.TotalMs <= g.cfg.SLOMs
 	g.mServed.Inc()
-	if res.ColdStart {
+	if coldStart {
 		g.mColdStarts.Inc()
 	}
 	if o.SLOOK {
@@ -419,7 +439,21 @@ func (g *gateway) serve(proc *simnet.Proc, i int, arrivalMs float64, model strin
 	} else {
 		g.mSLOViolated.Inc()
 	}
-	return o
+}
+
+// faultKind classifies a terminal serve error: "placement" when the Router
+// could not place the query's model, the typed platform fault kind
+// ("failure", "timeout", "evicted", "throttled") when the platform reported
+// one, and "other" otherwise.
+func faultKind(err error) string {
+	var pe placementError
+	if errors.As(err, &pe) {
+		return "placement"
+	}
+	if k, ok := platform.FaultKindOf(err); ok {
+		return k.String()
+	}
+	return "other"
 }
 
 // settle records the outcome, classifies it into the cumulative and

@@ -65,14 +65,15 @@ func SetParallelism(n int) (restore func()) {
 
 // pool is the lazily started process-wide worker pool. Workers block on the
 // task channel between For calls, so steady-state kernel execution spawns no
-// goroutines.
+// goroutines. The channel is unbuffered: a task is handed only to a worker
+// that is parked on the receive, never queued behind busy ones.
 var pool struct {
 	once  sync.Once
 	tasks chan func()
 }
 
 func startPool() {
-	pool.tasks = make(chan func(), 4*runtime.GOMAXPROCS(0))
+	pool.tasks = make(chan func())
 	for i := 0; i < runtime.GOMAXPROCS(0); i++ {
 		//gillis:allow goleak pool workers are deliberately detached for the process lifetime; For joins each submitted task through its own WaitGroup
 		go func() {
@@ -84,8 +85,9 @@ func startPool() {
 }
 
 // submit hands fn to an idle pool worker, or runs it on a fresh goroutine if
-// every worker is busy (e.g. nested For calls); it never blocks, so nesting
-// cannot deadlock the pool.
+// no worker is idle (e.g. nested For calls); it never blocks. No task ever
+// waits in a queue, so a For whose workers all block in nested Fors still
+// has every submitted task running, and nesting cannot deadlock the pool.
 func submit(fn func()) {
 	pool.once.Do(startPool)
 	select {

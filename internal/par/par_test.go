@@ -124,19 +124,45 @@ func TestSetParallelismRestore(t *testing.T) {
 }
 
 func TestScratchBufferReuse(t *testing.T) {
-	b := GetF32(1024)
-	if len(*b) != 1024 {
-		t.Fatalf("GetF32 len = %d, want 1024", len(*b))
+	// The buffer must come back on the first put/get round. Under the race
+	// detector sync.Pool drops a quarter of Puts on purpose, so there reuse
+	// is asserted within a few rounds instead.
+	rounds := 1
+	if raceEnabled {
+		rounds = 8
 	}
-	(*b)[0] = 42
-	PutF32(b)
-	// A smaller request must reuse capacity, not reallocate.
-	c := GetF32(16)
-	if len(*c) != 16 {
-		t.Fatalf("GetF32 len = %d, want 16", len(*c))
+	reused := false
+	for round := 0; round < rounds && !reused; round++ {
+		b := GetF32(1024)
+		if len(*b) != 1024 {
+			t.Fatalf("GetF32 len = %d, want 1024", len(*b))
+		}
+		(*b)[0] = 42
+		PutF32(b)
+		// A smaller request must reuse capacity, not reallocate.
+		c := GetF32(16)
+		if len(*c) != 16 {
+			t.Fatalf("GetF32 len = %d, want 16", len(*c))
+		}
+		reused = cap(*c) >= 1024
+		PutF32(c)
 	}
-	if cap(*c) < 1024 {
-		t.Fatalf("scratch buffer was not reused: cap %d", cap(*c))
+	if !reused {
+		t.Fatalf("scratch buffer was not reused within %d put/get round(s)", rounds)
 	}
-	PutF32(c)
+}
+
+// BenchmarkForDispatch measures For's fixed cost: handing the shared task
+// to the pool and joining it, over a body too small to matter.
+func BenchmarkForDispatch(b *testing.B) {
+	restore := SetParallelism(2)
+	defer restore()
+	out := make([]float32, 64)
+	for i := 0; i < b.N; i++ {
+		For(len(out), minParallelWork, func(lo, hi int) {
+			for j := lo; j < hi; j++ {
+				out[j]++
+			}
+		})
+	}
 }

@@ -328,10 +328,3 @@ func ForwardChainBatch(units []*Unit, xs []*tensor.Tensor) ([]*tensor.Tensor, er
 	}
 	return cur, nil
 }
-
-// InitUnits materializes weights for every unit deterministically.
-func InitUnits(units []*Unit, seed int64) {
-	for _, u := range units {
-		u.Sub.Init(seed + int64(u.Index))
-	}
-}

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"gillis/internal/partition"
@@ -61,6 +62,116 @@ func TestServeBatchRealMatchesSequential(t *testing.T) {
 		}
 		if len(res.GroupMs) != len(plan.Groups) {
 			t.Errorf("got %d group timings, want %d", len(res.GroupMs), len(plan.Groups))
+		}
+	})
+}
+
+// twinServe is one query's outcome in a serveTwins replay: the Result
+// with its output replaced by a digest of its bits, or the error.
+type twinServe struct {
+	Result
+	Digest uint64
+	Err    string
+}
+
+// serveTwins replays the same query sequence on two platforms built from
+// one config and seed: one client serves each query with Serve, the other
+// with a size-1 ServeBatch. It returns both outcome sequences, failures
+// included, for side-by-side comparison.
+func serveTwins(t *testing.T, cfg platform.Config, seed int64, units []*partition.Unit, plan *partition.Plan, mode ExecMode, xs []*tensor.Tensor, n int, opts ...DeployOption) (lone, batched []twinServe) {
+	t.Helper()
+	run := func(asBatch bool) []twinServe {
+		var got []twinServe
+		runClient(t, cfg, seed, func(p *platform.Platform, proc *simnet.Proc) {
+			d, err := Deploy(p, units, plan, mode, opts...)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := d.Prewarm(); err != nil {
+				t.Error(err)
+				return
+			}
+			for i := 0; i < n; i++ {
+				var x *tensor.Tensor
+				var in []*tensor.Tensor
+				if xs != nil {
+					x = xs[i%len(xs)]
+					in = []*tensor.Tensor{x}
+				}
+				var o twinServe
+				if asBatch {
+					br, err := d.ServeBatch(proc, in, 1)
+					if err == nil && br.Size != 1 {
+						t.Errorf("batch of one reported size %d", br.Size)
+					}
+					o.Result = Result{LatencyMs: br.LatencyMs, GroupMs: br.GroupMs, BilledMs: br.BilledMs, ColdStart: br.ColdStart, Resilience: br.Resilience}
+					if br.Outputs != nil {
+						o.Output = br.Outputs[0]
+					}
+					if err != nil {
+						o.Err = err.Error()
+					}
+				} else {
+					o.Result, err = d.Serve(proc, x)
+					if err != nil {
+						o.Err = err.Error()
+					}
+				}
+				if o.Output != nil {
+					o.Digest = tensorDigest(o.Output)
+					o.Output = nil
+				}
+				got = append(got, o)
+			}
+		})
+		return got
+	}
+	return run(false), run(true)
+}
+
+// TestServeIsBatchOfOne pins the single serve path: Serve and a size-1
+// ServeBatch on twin platforms agree bit for bit on latency, per-group
+// timings, billing, cold starts, resilience telemetry and outputs — in
+// Real mode through the mixed plan, and in ShapeOnly mode with retries,
+// hedging and the master fallback absorbing injected faults.
+func TestServeIsBatchOfOne(t *testing.T) {
+	units := tinyCNN(t)
+	rng := rand.New(rand.NewSource(5))
+	xs := []*tensor.Tensor{tensor.Rand(rng, 1, 3, 24, 24), tensor.Rand(rng, 1, 3, 24, 24)}
+
+	t.Run("real-mixed", func(t *testing.T) {
+		lone, batched := serveTwins(t, platform.AWSLambda(), 3, units, mixedPlan(t, units), Real, xs, 4)
+		if !reflect.DeepEqual(lone, batched) {
+			t.Fatalf("Serve and ServeBatch(1) diverged:\nserve: %+v\nbatch: %+v", lone, batched)
+		}
+		for i, o := range lone {
+			want, err := partition.ForwardChain(units, xs[i%len(xs)])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if o.Err != "" || o.Digest != tensorDigest(want) {
+				t.Fatalf("query %d: err %q, output digest %016x, want monolithic %016x", i, o.Err, o.Digest, tensorDigest(want))
+			}
+		}
+	})
+
+	t.Run("shape-resilient-faults", func(t *testing.T) {
+		cfg := platform.AWSLambda()
+		cfg.Faults = platform.FaultProfile{FailureProb: 0.3, StragglerProb: 0.2, StragglerFactor: 10}
+		lone, batched := serveTwins(t, cfg, 21, units, resilPlan(t, units), ShapeOnly, nil, 60,
+			WithRetries(2, 2), WithHedging(90), WithMasterFallback())
+		if !reflect.DeepEqual(lone, batched) {
+			t.Fatalf("Serve and ServeBatch(1) diverged under faults:\nserve: %+v\nbatch: %+v", lone, batched)
+		}
+		// The twins must actually have exercised the resilience paths, or
+		// agreement proves nothing about them.
+		var agg Resilience
+		for _, o := range lone {
+			agg.add(o.Resilience)
+		}
+		if agg.Retries == 0 || agg.Hedges == 0 || agg.Fallbacks == 0 {
+			t.Fatalf("fault sweep too mild to exercise the resilience paths: %+v", agg)
 		}
 	})
 }

@@ -354,10 +354,11 @@ func (d *Deployment) fallbackKey(gi int) string {
 
 // fallbackLocal is the graceful-degradation path for a DimNone group whose
 // worker failed past the retry budget: the master fetches the group's
-// weights from object storage (charged at storage speed) and executes the
-// group locally. Real-mode outputs are computed by the same kernels, so the
-// result stays bitwise identical to the healthy path.
-func (d *Deployment) fallbackLocal(ctx *platform.Ctx, gi int, gr *groupRuntime, in *tensor.Tensor, qs *queryStats, gsp *trace.Span) (*tensor.Tensor, error) {
+// weights from object storage once (charged at storage speed) and executes
+// the group locally for the whole batch. Real-mode outputs are computed by
+// the same kernels, so the result stays bitwise identical to the healthy
+// path.
+func (d *Deployment) fallbackLocal(ctx *platform.Ctx, gi int, gr *groupRuntime, ins []*tensor.Tensor, size int, qs *queryStats, gsp *trace.Span) ([]*tensor.Tensor, error) {
 	fsp := gsp.Child(trace.KindFallback, "fallback")
 	if _, err := ctx.StorageGet(d.fallbackKey(gi)); err != nil {
 		fsp.Fail("", err.Error())
@@ -366,15 +367,15 @@ func (d *Deployment) fallbackLocal(ctx *platform.Ctx, gi int, gr *groupRuntime, 
 	}
 	qs.fellBack()
 	qs.survive()
-	d.computeScaled(ctx, gr, 1.0)
+	d.computeScaled(ctx, gr, 1.0, size)
 	if d.mode == Real {
 		restore := d.opts.kernelScope()
 		restoreObs := observeOps(fsp)
-		out, err := partition.ForwardChain(gr.units, in)
+		outs, err := partition.ForwardChainBatch(gr.units, ins)
 		restoreObs()
 		restore()
 		fsp.EndSpan()
-		return out, err
+		return outs, err
 	}
 	fsp.EndSpan()
 	return nil, nil

@@ -61,7 +61,6 @@ type groupRuntime struct {
 type Deployment struct {
 	p      *platform.Platform
 	units  []*partition.Unit
-	plan   *partition.Plan
 	mode   ExecMode
 	prefix string
 	groups []*groupRuntime
@@ -106,7 +105,6 @@ func Deploy(p *platform.Platform, units []*partition.Unit, plan *partition.Plan,
 	d := &Deployment{
 		p:      p,
 		units:  units,
-		plan:   plan,
 		mode:   mode,
 		prefix: fmt.Sprintf("%s-d%d", plan.Model, p.NextDeploySeq()),
 		hist:   newLatencyHistory(),
@@ -234,19 +232,92 @@ type Result struct {
 	Resilience Resilience
 }
 
-// masterResp is the master function's response body.
-type masterResp struct {
-	output  *tensor.Tensor
-	groupMs []float64
-	resil   Resilience
+// BatchResult reports one served batch.
+type BatchResult struct {
+	// Outputs holds one inference result per query, in input order (nil in
+	// ShapeOnly mode).
+	Outputs []*tensor.Tensor
+	// Size is the number of queries in the batch.
+	Size int
+	// LatencyMs is the batch latency: the master function's duration. Every
+	// query in the batch observes it.
+	LatencyMs float64
+	// GroupMs traces each fork-join round's master-observed duration.
+	GroupMs []float64
+	// BilledMs is the total billed duration (master + workers) for the
+	// whole batch; callers apportion it across queries.
+	BilledMs int64
+	// ColdStart reports whether the master cold-started.
+	ColdStart bool
+	// Resilience aggregates the batch's resilience telemetry.
+	Resilience Resilience
 }
 
-// Serve executes one inference query from a client process. When the
-// deployment has a retry budget, it also covers the master invocation
-// itself — a crashed or evicted master is re-invoked with the same input,
-// so Real-mode outputs are unaffected.
+// batchReq is the in-process payload body of every master and worker
+// invocation: size queries carried through one fork-join pass (size 1 for
+// a lone query). inputs is nil in ShapeOnly mode; size is always set so
+// handlers scale their modeled compute even without tensors.
+type batchReq struct {
+	size   int
+	inputs []*tensor.Tensor
+}
+
+// batchResp is a worker's response body (Real mode): one output per query.
+type batchResp struct {
+	outs []*tensor.Tensor
+}
+
+// batchMasterResp is the master's response body. The client completes it
+// with the invocation's latency, billing and cold start, and its own
+// retries, and builds the caller's result from it.
+type batchMasterResp struct {
+	outputs   []*tensor.Tensor
+	groupMs   []float64
+	resil     Resilience
+	latencyMs float64
+	billedMs  int64
+	coldStart bool
+}
+
+// lone is a batch-of-one response as its single query's Result.
+func (mr *batchMasterResp) lone() Result {
+	out := Result{
+		LatencyMs:  mr.latencyMs,
+		GroupMs:    mr.groupMs,
+		BilledMs:   mr.billedMs,
+		ColdStart:  mr.coldStart,
+		Resilience: mr.resil,
+	}
+	if mr.outputs != nil {
+		out.Output = mr.outputs[0]
+	}
+	return out
+}
+
+// batch is the response as a BatchResult of size queries.
+func (mr *batchMasterResp) batch(size int) BatchResult {
+	return BatchResult{
+		Outputs:    mr.outputs,
+		Size:       size,
+		LatencyMs:  mr.latencyMs,
+		GroupMs:    mr.groupMs,
+		BilledMs:   mr.billedMs,
+		ColdStart:  mr.coldStart,
+		Resilience: mr.resil,
+	}
+}
+
+// Serve executes one inference query from a client process: a batch of one
+// through the fork-join engine. When the deployment has a retry budget, it
+// also covers the master invocation itself — a crashed or evicted master is
+// re-invoked with the same input, so Real-mode outputs are unaffected.
 func (d *Deployment) Serve(proc *simnet.Proc, input *tensor.Tensor) (Result, error) {
-	return d.serve(proc, input, nil)
+	mr, err := d.serveBatch(proc, d.loneInputs(input), 1, nil)
+	if err != nil {
+		return Result{}, err
+	}
+	d.recordMetrics(mr, 1, false)
+	return mr.lone(), nil
 }
 
 // ServeTraced is Serve with query-level tracing: it records a span tree
@@ -258,27 +329,89 @@ func (d *Deployment) Serve(proc *simnet.Proc, input *tensor.Tensor) (Result, err
 func (d *Deployment) ServeTraced(proc *simnet.Proc, input *tensor.Tensor) (Result, *trace.Trace, error) {
 	tr := trace.New("query", d.p.Env().Stamp)
 	root := tr.Root()
-	res, err := d.serve(proc, input, root)
+	mr, err := d.serveBatch(proc, d.loneInputs(input), 1, root)
+	var out Result
 	if err != nil {
 		root.Fail("", err.Error())
-	} else if d.mode == Real && res.Output != nil {
-		// Pin the Real-mode output in the trace: bitwise-deterministic
-		// kernels yield the same digest at any kernel parallelism.
-		root.SetAttr("output-digest", fmt.Sprintf("%016x", tensorDigest(res.Output)))
+	} else {
+		d.recordMetrics(mr, 1, false)
+		out = mr.lone()
+		if out.Output != nil {
+			// Pin the Real-mode output in the trace: bitwise-deterministic
+			// kernels yield the same digest at any kernel parallelism.
+			root.SetAttr("output-digest", fmt.Sprintf("%016x", tensorDigest(out.Output)))
+		}
+	}
+	root.EndSpan()
+	return out, tr, err
+}
+
+// ServeBatch executes one batch of queries as a single fork-join pass. In
+// Real mode inputs carries one tensor per query and size must equal
+// len(inputs); in ShapeOnly mode inputs is nil and size alone scales the
+// modeled compute and payloads. Real-mode outputs are bitwise identical to
+// serving the inputs sequentially.
+func (d *Deployment) ServeBatch(proc *simnet.Proc, inputs []*tensor.Tensor, size int) (BatchResult, error) {
+	mr, err := d.serveBatch(proc, inputs, size, nil)
+	if err != nil {
+		return BatchResult{}, err
+	}
+	d.recordMetrics(mr, size, true)
+	return mr.batch(size), nil
+}
+
+// ServeBatchTraced is ServeBatch with query-level tracing (see ServeTraced).
+func (d *Deployment) ServeBatchTraced(proc *simnet.Proc, inputs []*tensor.Tensor, size int) (BatchResult, *trace.Trace, error) {
+	tr := trace.New("batch", d.p.Env().Stamp)
+	root := tr.Root()
+	mr, err := d.serveBatch(proc, inputs, size, root)
+	var res BatchResult
+	if err != nil {
+		root.Fail("", err.Error())
+	} else {
+		d.recordMetrics(mr, size, true)
+		res = mr.batch(size)
+		for e, out := range res.Outputs {
+			root.SetAttr(fmt.Sprintf("output-digest-%d", e), fmt.Sprintf("%016x", tensorDigest(out)))
+		}
 	}
 	root.EndSpan()
 	return res, tr, err
 }
 
-func (d *Deployment) serve(proc *simnet.Proc, input *tensor.Tensor, root *trace.Span) (Result, error) {
-	payload := platform.Payload{Bytes: tensor.SizeBytes(d.units[0].InShape)}
-	if d.mode == Real {
-		if input == nil {
-			return Result{}, fmt.Errorf("runtime: Real mode requires an input tensor")
-		}
-		payload.Data = input
-		payload.Bytes = input.Bytes()
+// loneInputs is a lone query's input as a batch of one (nil in ShapeOnly
+// mode, where queries carry no tensors).
+func (d *Deployment) loneInputs(input *tensor.Tensor) []*tensor.Tensor {
+	if d.mode != Real {
+		return nil
 	}
+	return []*tensor.Tensor{input}
+}
+
+// serveBatch is the client side of the fork-join engine: it invokes the
+// master once for size queries (their tensors in inputs, Real mode only),
+// re-invoking it within the retry budget when the invocation fails, and
+// returns the master's completed response.
+func (d *Deployment) serveBatch(proc *simnet.Proc, inputs []*tensor.Tensor, size int, root *trace.Span) (*batchMasterResp, error) {
+	if size <= 0 {
+		return nil, fmt.Errorf("runtime: batch size %d", size)
+	}
+	payload := platform.Payload{Bytes: tensor.SizeBytes(d.units[0].InShape) * int64(size)}
+	if d.mode == Real {
+		if len(inputs) != size {
+			return nil, fmt.Errorf("runtime: batch size %d != %d inputs", size, len(inputs))
+		}
+		payload.Bytes = 0
+		for _, in := range inputs {
+			if in == nil {
+				return nil, fmt.Errorf("runtime: Real mode requires an input tensor")
+			}
+			payload.Bytes += in.Bytes()
+		}
+	} else {
+		inputs = nil
+	}
+	payload.Data = &batchReq{size: size, inputs: inputs}
 	var lastErr error
 	var extra int64
 	clientRetries := 0
@@ -294,46 +427,46 @@ func (d *Deployment) serve(proc *simnet.Proc, input *tensor.Tensor, root *trace.
 			lastErr = err
 			continue
 		}
-		out := Result{
-			LatencyMs: res.HandlerMs,
-			BilledMs:  res.TotalBilledMs,
-			ColdStart: res.ColdStart,
-		}
-		mr, ok := res.Resp.Data.(*masterResp)
+		mr, ok := res.Resp.Data.(*batchMasterResp)
 		if !ok {
-			return Result{}, fmt.Errorf("runtime: master returned %T", res.Resp.Data)
+			return nil, fmt.Errorf("runtime: master returned %T", res.Resp.Data)
 		}
-		out.Resilience = mr.resil
-		out.Resilience.Retries += clientRetries
-		out.Resilience.FaultsSurvived += clientRetries
-		out.Resilience.ExtraBilledMs += extra
-		out.GroupMs = mr.groupMs
-		if d.mode == Real {
-			if mr.output == nil {
-				return Result{}, fmt.Errorf("runtime: master returned no tensor in Real mode")
-			}
-			out.Output = mr.output
+		if d.mode == Real && len(mr.outputs) != size {
+			return nil, fmt.Errorf("runtime: master returned %d outputs for batch of %d", len(mr.outputs), size)
 		}
-		d.recordQueryMetrics(out)
-		return out, nil
+		mr.latencyMs = res.HandlerMs
+		mr.billedMs = res.TotalBilledMs
+		mr.coldStart = res.ColdStart
+		mr.resil.Retries += clientRetries
+		mr.resil.FaultsSurvived += clientRetries
+		mr.resil.ExtraBilledMs += extra
+		return mr, nil
 	}
-	return Result{}, lastErr
+	return nil, lastErr
 }
 
-// recordQueryMetrics aggregates one served query into the platform's metrics
-// registry (shared across queries, and across platforms via UseMetrics).
-func (d *Deployment) recordQueryMetrics(out Result) {
+// recordMetrics aggregates one served pass into the platform's metrics
+// registry (shared across queries, and across platforms via UseMetrics). A
+// lone query's latency and billing land in the runtime.query_* histograms;
+// a batch's land in runtime.batch_*, and it counts one runtime.batches.
+func (d *Deployment) recordMetrics(mr *batchMasterResp, size int, batched bool) {
 	reg := d.p.Metrics()
-	reg.Counter("runtime.queries").Inc()
-	r := out.Resilience
+	reg.Counter("runtime.queries").Add(int64(size))
+	r := mr.resil
 	reg.Counter("runtime.retries").Add(int64(r.Retries))
 	reg.Counter("runtime.hedges").Add(int64(r.Hedges))
 	reg.Counter("runtime.hedge_wins").Add(int64(r.HedgesWon))
 	reg.Counter("runtime.fallbacks").Add(int64(r.Fallbacks))
 	reg.Counter("runtime.faults_survived").Add(int64(r.FaultsSurvived))
 	reg.Counter("runtime.extra_billed_ms").Add(r.ExtraBilledMs)
-	reg.Histogram("runtime.query_latency_ms").Observe(out.LatencyMs)
-	reg.Histogram("runtime.query_billed_ms").Observe(float64(out.BilledMs))
+	if batched {
+		reg.Counter("runtime.batches").Inc()
+		reg.Histogram("runtime.batch_latency_ms").Observe(mr.latencyMs)
+		reg.Histogram("runtime.batch_billed_ms").Observe(float64(mr.billedMs))
+		return
+	}
+	reg.Histogram("runtime.query_latency_ms").Observe(mr.latencyMs)
+	reg.Histogram("runtime.query_billed_ms").Observe(float64(mr.billedMs))
 }
 
 // tensorDigest is a deterministic FNV-1a over the tensor's float bits.
@@ -361,27 +494,25 @@ func observeOps(sp *trace.Span) (restore func()) {
 	return nn.SetObserver(func(op nn.Op) { sp.Event("op:" + op.Name()) })
 }
 
-// masterHandler orchestrates the fork-join rounds (Fig. 4). Batched
-// invocations (a *batchReq body) take the batched round path; single-query
-// payloads are untouched.
+// masterHandler orchestrates the fork-join rounds (Fig. 4) for one batch of
+// queries. Per-round invocation overheads (request overhead, cold starts,
+// per-op dispatch) are paid once per batch, while modeled compute and
+// payload bytes scale with its size.
 func (d *Deployment) masterHandler(ctx *platform.Ctx, payload platform.Payload) (platform.Payload, error) {
-	if br, ok := payload.Data.(*batchReq); ok {
-		return d.masterHandlerBatch(ctx, br)
+	br, ok := payload.Data.(*batchReq)
+	if !ok {
+		return platform.Payload{}, fmt.Errorf("runtime: master got %T, want batch", payload.Data)
 	}
-	var cur *tensor.Tensor
-	if d.mode == Real {
-		var ok bool
-		cur, ok = payload.Data.(*tensor.Tensor)
-		if !ok {
-			return platform.Payload{}, fmt.Errorf("runtime: master got %T, want tensor", payload.Data)
-		}
-	}
+	cur := br.inputs
 	qs := &queryStats{}
 	groupMs := make([]float64, 0, len(d.groups))
-	for gi, gr := range d.groups {
+	for gi := range d.groups {
 		before := ctx.Proc().Now()
 		gsp := ctx.Span().Childf(trace.KindGroup, "group%d", gi)
-		next, err := d.runGroup(ctx, gi, gr, cur, qs, gsp)
+		if br.size > 1 {
+			gsp.SetAttr("batch", strconv.Itoa(br.size))
+		}
+		next, err := d.runGroup(ctx, gi, cur, br.size, qs, gsp)
 		if err != nil {
 			gsp.Fail("", err.Error())
 			gsp.EndSpan()
@@ -392,25 +523,33 @@ func (d *Deployment) masterHandler(ctx *platform.Ctx, payload platform.Payload) 
 		cur = next
 	}
 	last := d.groups[len(d.groups)-1]
-	return platform.Payload{Bytes: last.outBytes, Data: &masterResp{output: cur, groupMs: groupMs, resil: qs.snapshot()}}, nil
+	return platform.Payload{
+		Bytes: last.outBytes * int64(br.size),
+		Data:  &batchMasterResp{outputs: cur, groupMs: groupMs, resil: qs.snapshot()},
+	}, nil
 }
 
-// runGroup executes one layer group from the master's perspective.
-func (d *Deployment) runGroup(ctx *platform.Ctx, gi int, gr *groupRuntime, in *tensor.Tensor, qs *queryStats, gsp *trace.Span) (*tensor.Tensor, error) {
+// runGroup executes one layer group for a batch of size queries from the
+// master's perspective. Tensor math runs the batch-aware kernels (DimNone
+// paths, channel partitions) or loops per query (spatial partitions), both
+// bitwise identical to sequential execution, while modeled compute and
+// payload bytes scale linearly with the batch size.
+func (d *Deployment) runGroup(ctx *platform.Ctx, gi int, ins []*tensor.Tensor, size int, qs *queryStats, gsp *trace.Span) ([]*tensor.Tensor, error) {
+	gr := d.groups[gi]
 	opt := gr.gp.Option
 
 	// Whole group on the master: local execution.
 	if opt.Dim == partition.DimNone && gr.gp.OnMaster {
 		csp := gsp.Child(trace.KindCompute, "master-compute")
-		d.computeScaled(ctx, gr, 1.0)
+		d.computeScaled(ctx, gr, 1.0, size)
 		if d.mode == Real {
 			restore := d.opts.kernelScope()
 			restoreObs := observeOps(csp)
-			out, err := partition.ForwardChain(gr.units, in)
+			outs, err := partition.ForwardChainBatch(gr.units, ins)
 			restoreObs()
 			restore()
 			csp.EndSpan()
-			return out, err
+			return outs, err
 		}
 		csp.EndSpan()
 		return nil, nil
@@ -419,18 +558,15 @@ func (d *Deployment) runGroup(ctx *platform.Ctx, gi int, gr *groupRuntime, in *t
 	// Whole group on a single worker: remote round (with retries, and a
 	// master-local fallback when graceful degradation is enabled).
 	if opt.Dim == partition.DimNone {
-		req := platform.Payload{Bytes: gr.inBytes}
-		if d.mode == Real {
-			req.Data = in
-		}
+		req := platform.Payload{Bytes: gr.inBytes * int64(size), Data: &batchReq{size: size, inputs: ins}}
 		res, err := d.callWorker(ctx.Proc(), ctx, gi, 0, req, qs, gsp)
 		if err != nil {
 			if d.opts.fallback {
-				return d.fallbackLocal(ctx, gi, gr, in, qs, gsp)
+				return d.fallbackLocal(ctx, gi, gr, ins, size, qs, gsp)
 			}
 			return nil, err
 		}
-		return d.tensorOf(res.Resp)
+		return d.tensorsOf(res.Resp, size)
 	}
 
 	// Parallel round: fork workers, optionally compute partition 0 locally,
@@ -442,128 +578,100 @@ func (d *Deployment) runGroup(ctx *platform.Ctx, gi int, gr *groupRuntime, in *t
 	promises := make([]*simnet.Promise[platform.InvokeResult], 0, opt.Parts-firstWorker)
 	callSpans := make([]*trace.Span, 0, opt.Parts-firstWorker)
 	for part := firstWorker; part < opt.Parts; part++ {
-		req := platform.Payload{Bytes: gr.partIn[part]}
-		if d.mode == Real {
-			slab, err := d.partInput(gr, part, in)
-			if err != nil {
-				abandonUnsettled(promises, callSpans)
-				return nil, err
-			}
-			req.Data = slab
+		slabs, err := partInputs(gr, part, ins)
+		if err != nil {
+			abandonUnsettled(promises, callSpans)
+			return nil, err
 		}
+		req := platform.Payload{Bytes: gr.partIn[part] * int64(size), Data: &batchReq{size: size, inputs: slabs}}
 		pr, csp := d.launchWorker(ctx, gi, part, req, qs, gsp)
 		promises = append(promises, pr)
 		callSpans = append(callSpans, csp)
 	}
-	// When the round fails, the master stops waiting: sibling calls still in
-	// flight settle after the group span ends, which trace invariants only
-	// accept once marked abandoned.
-	fail := func(err error) (*tensor.Tensor, error) {
-		abandonUnsettled(promises, callSpans)
-		return nil, err
-	}
-
-	outs := make([]*tensor.Tensor, opt.Parts)
+	// outs[part][e] is partition part's output for query e.
+	outs := make([][]*tensor.Tensor, opt.Parts)
+	var err error
 	if gr.gp.OnMaster {
 		csp := gsp.Child(trace.KindCompute, "master-part0")
-		d.computeScaled(ctx, gr, flopFrac(gr, 0))
+		d.computeScaled(ctx, gr, flopFrac(gr, 0), size)
 		if d.mode == Real {
 			restore := d.opts.kernelScope()
 			restoreObs := observeOps(csp)
-			out, err := d.execPart(gr, 0, in)
+			outs[0], err = d.execPart(gr, 0, ins)
 			restoreObs()
 			restore()
-			if err != nil {
-				csp.EndSpan()
-				return fail(err)
-			}
-			outs[0] = out
 		}
 		csp.EndSpan()
 	}
-	for i, pr := range promises {
-		res, err := pr.Wait(ctx.Proc())
-		if err != nil {
-			return fail(err)
-		}
-		if d.mode == Real {
-			t, err := d.tensorOf(res.Resp)
-			if err != nil {
-				return fail(err)
-			}
-			outs[firstWorker+i] = t
+	for i := 0; i < len(promises) && err == nil; i++ {
+		var res platform.InvokeResult
+		if res, err = promises[i].Wait(ctx.Proc()); err == nil {
+			outs[firstWorker+i], err = d.tensorsOf(res.Resp, size)
 		}
 	}
-	// Reassembly is memory-bandwidth work on the master.
+	if err != nil {
+		// The round failed and the master stops waiting: sibling calls still
+		// in flight settle after the group span ends, which trace invariants
+		// only accept once marked abandoned.
+		abandonUnsettled(promises, callSpans)
+		return nil, err
+	}
+	// Reassembly is memory-bandwidth work on the master, once per query.
 	rsp := gsp.Child(trace.KindCompute, "reassemble")
-	ctx.ComputeOp(0, gr.outBytes)
+	ctx.ComputeOp(0, gr.outBytes*int64(size))
 	if d.mode != Real {
 		rsp.EndSpan()
 		return nil, nil
 	}
-	dim := 1 // spatial: concatenate rows
-	if opt.Dim == partition.DimChannel {
-		dim = 0
-	}
-	out, err := tensor.ConcatDim(dim, outs...)
+	joined, err := joinParts(opt.Dim, outs, size)
 	rsp.EndSpan()
-	return out, err
+	return joined, err
 }
 
-// workerHandler computes one partition of one group.
+// workerHandler computes one partition of one group for a batch of queries.
 func (d *Deployment) workerHandler(ctx *platform.Ctx, gi, part int, payload platform.Payload) (platform.Payload, error) {
-	if br, ok := payload.Data.(*batchReq); ok {
-		return d.workerHandlerBatch(ctx, gi, part, br)
+	br, ok := payload.Data.(*batchReq)
+	if !ok {
+		return platform.Payload{}, fmt.Errorf("runtime: worker got %T, want batch", payload.Data)
 	}
 	gr := d.groups[gi]
-	if gr.gp.Option.Dim == partition.DimNone {
-		d.computeScaled(ctx, gr, 1.0)
-		resp := platform.Payload{Bytes: gr.outBytes}
-		if d.mode == Real {
-			in, ok := payload.Data.(*tensor.Tensor)
-			if !ok {
-				return platform.Payload{}, fmt.Errorf("runtime: worker got %T", payload.Data)
-			}
-			restore := d.opts.kernelScope()
-			restoreObs := observeOps(ctx.Span())
-			out, err := partition.ForwardChain(gr.units, in)
-			restoreObs()
-			restore()
-			if err != nil {
-				return platform.Payload{}, err
-			}
-			resp.Data = out
-		}
-		return resp, nil
+	whole := gr.gp.Option.Dim == partition.DimNone
+	frac := 1.0
+	if !whole {
+		frac = flopFrac(gr, part)
 	}
-
-	d.computeScaled(ctx, gr, flopFrac(gr, part))
-	resp := platform.Payload{Bytes: gr.partOut[part]}
+	d.computeScaled(ctx, gr, frac, br.size)
+	resp := platform.Payload{Bytes: gr.partOut[part] * int64(br.size)}
 	if d.mode == Real {
-		in, ok := payload.Data.(*tensor.Tensor)
-		if !ok {
-			return platform.Payload{}, fmt.Errorf("runtime: worker got %T", payload.Data)
-		}
 		restore := d.opts.kernelScope()
 		restoreObs := observeOps(ctx.Span())
-		out, err := d.execPartFromSlab(gr, part, in)
+		var outs []*tensor.Tensor
+		var err error
+		if whole {
+			outs, err = partition.ForwardChainBatch(gr.units, br.inputs)
+		} else {
+			outs, err = d.execPartFromSlab(gr, part, br.inputs)
+		}
 		restoreObs()
 		restore()
 		if err != nil {
 			return platform.Payload{}, err
 		}
-		resp.Data = out
+		resp.Data = &batchResp{outs: outs}
 	}
 	return resp, nil
 }
 
 // computeScaled advances the worker's clock by the group's ops scaled to
-// the partition's share of the work (exact FLOPs incl. halo redundancy).
-// The modeled per-instance vCPU count divides FLOP time by its Amdahl
-// speedup; bytes touched stay unscaled (memory bandwidth is shared across
-// an instance's cores).
-func (d *Deployment) computeScaled(ctx *platform.Ctx, gr *groupRuntime, frac float64) {
-	ctx.ComputeOp(int64(float64(gr.flops)*frac/d.opts.speedup()), int64(float64(gr.opBytes)*frac))
+// the partition's share of the work (exact FLOPs incl. halo redundancy)
+// and linearly by the batch size; per-op dispatch overheads are charged
+// once per batch, which is the batching win the perf model predicts. The
+// modeled per-instance vCPU count divides FLOP time by its Amdahl speedup;
+// bytes touched stay unscaled (memory bandwidth is shared across an
+// instance's cores).
+func (d *Deployment) computeScaled(ctx *platform.Ctx, gr *groupRuntime, frac float64, size int) {
+	bf := float64(size)
+	ctx.ComputeOp(int64(float64(gr.flops)*frac*bf/d.opts.speedup()), int64(float64(gr.opBytes)*frac*bf))
 }
 
 func flopFrac(gr *groupRuntime, part int) float64 {
@@ -573,45 +681,94 @@ func flopFrac(gr *groupRuntime, part int) float64 {
 	return float64(gr.partFLOPs[part]) / float64(gr.flops)
 }
 
-// partInput slices the group input for a partition (Real mode).
-func (d *Deployment) partInput(gr *groupRuntime, part int, in *tensor.Tensor) (*tensor.Tensor, error) {
-	if gr.gp.Option.Dim == partition.DimChannel {
-		return in, nil // channel partitions consume the full input
+// partInputs slices every query's group input for a partition (Real mode;
+// nil when ins is, as in ShapeOnly mode). Channel partitions consume the
+// full inputs.
+func partInputs(gr *groupRuntime, part int, ins []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	if ins == nil || gr.gp.Option.Dim == partition.DimChannel {
+		return ins, nil
 	}
-	return partition.InputSlab(in, gr.spatial[part])
+	slabs := make([]*tensor.Tensor, len(ins))
+	for e, in := range ins {
+		slab, err := partition.InputSlab(in, gr.spatial[part])
+		if err != nil {
+			return nil, err
+		}
+		slabs[e] = slab
+	}
+	return slabs, nil
 }
 
-// execPart runs a partition from the full group input (master side).
-func (d *Deployment) execPart(gr *groupRuntime, part int, in *tensor.Tensor) (*tensor.Tensor, error) {
-	slab, err := d.partInput(gr, part, in)
+// execPart runs one partition over every query's full group input (master
+// side).
+func (d *Deployment) execPart(gr *groupRuntime, part int, ins []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	slabs, err := partInputs(gr, part, ins)
 	if err != nil {
 		return nil, err
 	}
-	return d.execPartFromSlab(gr, part, slab)
+	return d.execPartFromSlab(gr, part, slabs)
 }
 
-// execPartFromSlab runs a partition from its input slab (worker side).
-func (d *Deployment) execPartFromSlab(gr *groupRuntime, part int, slab *tensor.Tensor) (*tensor.Tensor, error) {
+// execPartFromSlab runs one partition over the queries' input slabs
+// (worker side). Channel partitions build their subgraph once and run the
+// batched graph walk; spatial partitions loop ExecSpatialPart per query
+// (identical math either way).
+func (d *Deployment) execPartFromSlab(gr *groupRuntime, part int, slabs []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	if gr.gp.Option.Dim == partition.DimChannel {
 		cs := gr.channel[part]
 		sub, err := partition.ChannelSubgraph(gr.units[0], cs.Channels.Lo, cs.Channels.Hi)
 		if err != nil {
 			return nil, err
 		}
-		return sub.Forward(slab)
+		return sub.ForwardBatch(slabs)
 	}
-	return partition.ExecSpatialPart(gr.units, gr.spatial[part], slab)
+	outs := make([]*tensor.Tensor, len(slabs))
+	for e, slab := range slabs {
+		out, err := partition.ExecSpatialPart(gr.units, gr.spatial[part], slab)
+		if err != nil {
+			return nil, err
+		}
+		outs[e] = out
+	}
+	return outs, nil
 }
 
-func (d *Deployment) tensorOf(p platform.Payload) (*tensor.Tensor, error) {
+// joinParts reassembles each query's output from its partitions' pieces,
+// where outs[part][e] is partition part's output for query e.
+func joinParts(dim partition.Dim, outs [][]*tensor.Tensor, size int) ([]*tensor.Tensor, error) {
+	axis := 1 // spatial: concatenate rows
+	if dim == partition.DimChannel {
+		axis = 0
+	}
+	joined := make([]*tensor.Tensor, size)
+	pieces := make([]*tensor.Tensor, len(outs))
+	for e := range joined {
+		for part := range outs {
+			pieces[part] = outs[part][e]
+		}
+		out, err := tensor.ConcatDim(axis, pieces...)
+		if err != nil {
+			return nil, err
+		}
+		joined[e] = out
+	}
+	return joined, nil
+}
+
+// tensorsOf unwraps a worker's response: one output per query in Real
+// mode, nil in ShapeOnly mode.
+func (d *Deployment) tensorsOf(p platform.Payload, size int) ([]*tensor.Tensor, error) {
 	if d.mode != Real {
 		return nil, nil
 	}
-	t, ok := p.Data.(*tensor.Tensor)
+	br, ok := p.Data.(*batchResp)
 	if !ok {
-		return nil, fmt.Errorf("runtime: response payload %T, want tensor", p.Data)
+		return nil, fmt.Errorf("runtime: response payload %T, want batch", p.Data)
 	}
-	return t, nil
+	if len(br.outs) != size {
+		return nil, fmt.Errorf("runtime: worker returned %d outputs for batch of %d", len(br.outs), size)
+	}
+	return br.outs, nil
 }
 
 // buildGroupRuntime precomputes a group's slices, FLOPs and payload sizes.
@@ -688,9 +845,6 @@ func DeployDefault(p *platform.Platform, units []*partition.Unit, mode ExecMode,
 	}
 	return Deploy(p, units, plan, mode, opts...)
 }
-
-// PredictedPlanOf exposes the deployment's plan (for reporting).
-func (d *Deployment) Plan() *partition.Plan { return d.plan }
 
 func modelNameOf(units []*partition.Unit) string {
 	name := units[0].Sub.Name
